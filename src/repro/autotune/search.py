@@ -39,6 +39,7 @@ from ..machine import (
     get_device,
 )
 from ..obs import AUTOTUNE_CANDIDATES, AUTOTUNE_TRIALS, add_count, span
+from ..parallel.spmv import _kernel_call
 from ..sparse import CSRMatrix, build_buffered, build_ell
 
 __all__ = [
@@ -269,21 +270,11 @@ class Autotuner:
         y = rng.random(matrix.num_rows).astype(dtype)
 
         def run_serial() -> float:
-            fwd = (
-                forward.spmv_vectorized
-                if hasattr(forward, "spmv_vectorized")
-                else forward.spmv
-            )
-            adj = (
-                adjoint.spmv_vectorized
-                if hasattr(adjoint, "spmv_vectorized")
-                else adjoint.spmv
-            )
             best = float("inf")
             for _ in range(self.trial_repeats):
                 t0 = time.perf_counter()
-                fwd(x)
-                adj(y)
+                _kernel_call(forward, x, False)
+                _kernel_call(adjoint, y, False)
                 best = min(best, time.perf_counter() - t0)
             return best
 

@@ -267,7 +267,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         if operator is None:
             operator, prep = preprocess(
                 geometry,
-                config=OperatorConfig(dtype=args.dtype, tune=args.tune),
+                config=OperatorConfig(
+                    kernel=args.kernel, dtype=args.dtype, tune=args.tune
+                ),
                 cache=args.cache,
             )
             _print_cache_status(prep)
@@ -298,6 +300,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         dtype=args.dtype,
         tune=args.tune,
         cache=args.cache,
+        config=OperatorConfig(kernel=args.kernel),
     )
     line = (
         f"{args.solver} x{result.solve.iterations} iterations in "
@@ -1039,6 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", help="operator file from 'preprocess'")
     p.add_argument("--solver", default="cg", choices=("cg", "sirt", "sgd", "icd", "fbp"))
     p.add_argument("--iterations", type=int, default=30)
+    p.add_argument("--kernel", default="buffered", choices=("csr", "buffered", "ell"))
     p.add_argument("--output", "-o", default="reconstruction.npz")
     p.add_argument(
         "--ranks", type=int, default=1,

@@ -34,6 +34,7 @@ from ..obs import (
 )
 from ..ordering import DomainOrdering
 from ..parallel.backend import parse_workers
+from ..parallel.spmv import _kernel_call
 from ..precision import ambient_dtype
 from ..precision import compute_dtype as _compute_dtype_for
 from ..precision import parse_dtype
@@ -274,33 +275,20 @@ class MemXCTOperator:
             np.float32 if self.config.dtype == "float32" else np.float64
         )
 
-    def _forward_kernel(self, x32: np.ndarray) -> np.ndarray:
+    def _kernel(self, direction: str, x: np.ndarray, batched: bool) -> np.ndarray:
         engine = self._active_engine()
         if engine is not None:
-            return engine.apply("forward", x32)
-        if self.config.kernel == "buffered" and self.buffered_forward is not None:
-            return self.buffered_forward.spmv_vectorized(x32)
-        if self.config.kernel == "ell" and self.ell_forward is not None:
-            return self.ell_forward.spmv(x32)
-        return self.matrix.spmv(x32)
-
-    def _adjoint_kernel(self, y32: np.ndarray) -> np.ndarray:
-        engine = self._active_engine()
-        if engine is not None:
-            return engine.apply("adjoint", y32)
-        if self.config.kernel == "buffered" and self.buffered_adjoint is not None:
-            return self.buffered_adjoint.spmv_vectorized(y32)
-        if self.config.kernel == "ell" and self.ell_adjoint is not None:
-            return self.ell_adjoint.spmv(y32)
-        return self.transpose.spmv(y32)
+            return engine.apply(direction, x)
+        forward, adjoint = self._kernel_layouts()
+        return _kernel_call(forward if direction == "forward" else adjoint, x, batched)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward projection ``y = A x`` in ordered coordinates."""
         x32 = np.asarray(x, dtype=self.compute_dtype)
         if not REGISTRY.active:  # hot path: one attribute check
-            return self._forward_kernel(x32)
+            return self._kernel("forward", x32, False)
         with span("spmv.forward", kernel=self.config.kernel):
-            y = self._forward_kernel(x32)
+            y = self._kernel("forward", x32, False)
         self._count_spmv("forward")
         return y
 
@@ -308,26 +296,11 @@ class MemXCTOperator:
         """Backprojection ``x = A^T y`` in ordered coordinates."""
         y32 = np.asarray(y, dtype=self.compute_dtype)
         if not REGISTRY.active:  # hot path: one attribute check
-            return self._adjoint_kernel(y32)
+            return self._kernel("adjoint", y32, False)
         with span("spmv.adjoint", kernel=self.config.kernel):
-            x = self._adjoint_kernel(y32)
+            x = self._kernel("adjoint", y32, False)
         self._count_spmv("adjoint")
         return x
-
-    def _batch_kernel(self, direction: str, slab32: np.ndarray) -> np.ndarray:
-        engine = self._active_engine()
-        if engine is not None:
-            return engine.apply(direction, slab32)
-        matrix, buffered, ell = (
-            (self.matrix, self.buffered_forward, self.ell_forward)
-            if direction == "forward"
-            else (self.transpose, self.buffered_adjoint, self.ell_adjoint)
-        )
-        if self.config.kernel == "buffered" and buffered is not None:
-            return buffered.spmv_batch(slab32)
-        if self.config.kernel == "ell" and ell is not None:
-            return ell.spmv_batch(slab32)
-        return matrix.spmv_batch(slab32)
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Batched forward projection ``Y = A X`` for an ``(pixels, S)`` slab.
@@ -336,21 +309,21 @@ class MemXCTOperator:
         matrix streams are read once per call instead of once per
         slice.  Column ``j`` is bit-identical to ``forward(x[:, j])``.
         """
-        x32 = np.asarray(x, dtype=self.compute_dtype)
+        x32 = np.ascontiguousarray(x, dtype=self.compute_dtype)
         if not REGISTRY.active:  # hot path: one attribute check
-            return self._batch_kernel("forward", x32)
+            return self._kernel("forward", x32, True)
         with span("spmv.forward", kernel=self.config.kernel, batch=x32.shape[1]):
-            y = self._batch_kernel("forward", x32)
+            y = self._kernel("forward", x32, True)
         self._count_spmv("forward", batch=x32.shape[1])
         return y
 
     def adjoint_batch(self, y: np.ndarray) -> np.ndarray:
         """Batched backprojection ``X = A^T Y`` for an ``(rays, S)`` slab."""
-        y32 = np.asarray(y, dtype=self.compute_dtype)
+        y32 = np.ascontiguousarray(y, dtype=self.compute_dtype)
         if not REGISTRY.active:  # hot path: one attribute check
-            return self._batch_kernel("adjoint", y32)
+            return self._kernel("adjoint", y32, True)
         with span("spmv.adjoint", kernel=self.config.kernel, batch=y32.shape[1]):
-            x = self._batch_kernel("adjoint", y32)
+            x = self._kernel("adjoint", y32, True)
         self._count_spmv("adjoint", batch=y32.shape[1])
         return x
 

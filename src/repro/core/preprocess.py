@@ -253,8 +253,8 @@ def preprocess(
                     transpose, config.partition_size, config.buffer_bytes
                 )
             elif config.kernel == "ell":
-                ell_forward = build_ell(matrix, config.partition_size)
-                ell_adjoint = build_ell(transpose, config.partition_size)
+                ell_forward = build_ell(matrix, config.partition_size, transpose)
+                ell_adjoint = build_ell(transpose, config.partition_size, matrix)
         report.partitioning_seconds = sp.duration
 
     operator = MemXCTOperator(

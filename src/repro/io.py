@@ -119,9 +119,9 @@ def _ell_payload(prefix: str, layout: ELLPartitioned) -> dict:
 
 
 def _ell_from_payload(
-    data, prefix: str, num_rows: int, partition_size: int, num_cols: int
+    data, prefix: str, rows: CSRMatrix, columns: CSRMatrix, partition_size: int
 ) -> ELLPartitioned:
-    parts = RowPartitions(num_rows, partition_size)
+    parts = RowPartitions(rows.num_rows, partition_size)
     widths = np.asarray(data[f"{prefix}widths"], dtype=np.int64)
     flat_ind = data[f"{prefix}ind"]
     flat_val = data[f"{prefix}val"]
@@ -141,7 +141,9 @@ def _ell_from_payload(
         widths=widths,
         ind_slabs=ind_slabs,
         val_slabs=val_slabs,
-        num_cols=num_cols,
+        num_cols=rows.num_cols,
+        csr=rows,
+        columns=columns,
     )
 
 
@@ -308,13 +310,9 @@ def _operator_from_npz(data) -> MemXCTOperator:
                 data, "ba_", transpose.num_rows, psize, transpose.num_cols
             )
         if "ef_widths" in data:
-            ell_forward = _ell_from_payload(
-                data, "ef_", matrix.num_rows, psize, matrix.num_cols
-            )
+            ell_forward = _ell_from_payload(data, "ef_", matrix, transpose, psize)
         if "ea_widths" in data:
-            ell_adjoint = _ell_from_payload(
-                data, "ea_", transpose.num_rows, psize, transpose.num_cols
-            )
+            ell_adjoint = _ell_from_payload(data, "ea_", transpose, matrix, psize)
     else:
         # v1 stored the matrix only: rebuild the remaining stages.
         transpose = scan_transpose(matrix)
@@ -326,8 +324,8 @@ def _operator_from_npz(data) -> MemXCTOperator:
                 transpose, config.partition_size, config.buffer_bytes
             )
         elif config.kernel == "ell":
-            ell_forward = build_ell(matrix, config.partition_size)
-            ell_adjoint = build_ell(transpose, config.partition_size)
+            ell_forward = build_ell(matrix, config.partition_size, transpose)
+            ell_adjoint = build_ell(transpose, config.partition_size, matrix)
 
     return MemXCTOperator(
         geometry=geometry,

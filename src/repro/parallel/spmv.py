@@ -83,12 +83,17 @@ def _slice_layout(layout, part0: int, part1: int, partition_size: int):
 
 
 def _kernel_call(layout, x: np.ndarray, batched: bool) -> np.ndarray:
-    """Apply the layout's production kernel — the one the operator uses.
+    """Apply the layout's production kernel — the one dispatch point.
 
-    Buffered layouts expose a slow literal kernel (``spmv``) and a
-    vectorized one (``spmv_vectorized``, bit-identical); the operator
-    runs the vectorized one, so worker slices must too.
+    The operator's serial path, every worker slice of the engine and
+    the autotuner's trials all call this, so each runs the kernel the
+    others run.  Buffered and ELL layouts keep a literal reference
+    kernel (``spmv``, plus ``spmv_batch`` for ELL) beside a faster
+    bit-identical production one: buffered runs ``spmv_vectorized``,
+    ELL runs scipy's ``csr_matvec(s)`` over its unpadded rows.
     """
+    if isinstance(layout, ELLPartitioned):
+        return layout.spmv_vendor(x, batched)
     if batched:
         return layout.spmv_batch(x)
     vectorized = getattr(layout, "spmv_vectorized", None)
@@ -129,6 +134,9 @@ def _flatten_layout(layout) -> tuple[str, dict[str, np.ndarray], dict]:
             "rows": rows,
             "ind_flat": flat(layout.ind_slabs, np.int32),
             "val_flat": flat(layout.val_slabs, np.float32),
+            "displ": layout.csr.displ,
+            "ind": layout.csr.ind,
+            "val": layout.csr.val,
         }
         meta = {
             "num_cols": layout.num_cols,
@@ -182,6 +190,7 @@ def _rebuild_layout(kind: str, arrays: dict[str, np.ndarray], meta: dict):
             ind_slabs=ind_slabs,
             val_slabs=val_slabs,
             num_cols=meta["num_cols"],
+            csr=_rebuild_layout("csr", arrays, meta),
         )
     raise ValueError(f"unknown layout kind {kind!r}")
 

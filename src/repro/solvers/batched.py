@@ -65,25 +65,34 @@ def adjoint_batch(op: ProjectionOperator, y: np.ndarray) -> np.ndarray:
     return np.stack([op.adjoint(y[:, j]) for j in range(y.shape[1])], axis=1)
 
 
-def _column_dots(slab: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
-    """``out[j] = slab[:, j] @ slab[:, j]`` for the selected columns.
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """``out[j] = rows[j] @ rows[j]`` over a column-contiguous ``(S, n)`` slab.
 
-    Each column is copied contiguous before the dot so the BLAS call is
-    identical (operands and summation path) to the single-slice
-    solver's ``float(s @ s)`` — that is what makes the recurrence
+    Each row is one solve column, contiguous in memory, so the BLAS
+    call is identical (operands and summation path) to the single-slice
+    solver's ``float(s @ s)``.  That is what makes the recurrence
     scalars, and hence the whole solve, bit-exact per column.
     """
-    for j in columns:
-        col = np.ascontiguousarray(slab[:, j])
-        out[j] = float(col @ col)
+    return np.array([float(row @ row) for row in rows], dtype=np.float64)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Per-row 2-norms of an ``(S, n)`` slab (see :func:`_row_dots`)."""
+    return np.array([float(np.linalg.norm(row)) for row in rows], dtype=np.float64)
 
 
 def _column_norms(slab: np.ndarray) -> np.ndarray:
-    """Per-column 2-norms, each on a contiguous copy (see _column_dots)."""
-    out = np.empty(slab.shape[1], dtype=np.float64)
-    for j in range(slab.shape[1]):
-        out[j] = float(np.linalg.norm(np.ascontiguousarray(slab[:, j])))
-    return out
+    """Per-column 2-norms of an ``(n, S)`` slab, via one transposed copy."""
+    return _row_norms(np.ascontiguousarray(slab.T))
+
+
+def _apply_rows(apply, op: ProjectionOperator, rows: np.ndarray, work) -> np.ndarray:
+    """``apply(op, rows.T).T`` as a column-contiguous slab of dtype ``work``.
+
+    ``rows.T`` is the ``(n, S)`` view the batched operators take; the
+    result is transposed and cast back in one copy.
+    """
+    return np.ascontiguousarray(apply(op, rows.T).T, dtype=work)
 
 
 @dataclass
@@ -178,16 +187,19 @@ def cgls_batch(
     S = Y.shape[1]
 
     with solve_span("cg", num_iterations=num_iterations, batch=S):
+        # Column-contiguous work slabs: row j of each (S, n) array is
+        # solve column j, so per-column reductions need no copies, and
+        # while every column is active the updates run on whole slabs.
         X = (
-            np.zeros((op.num_pixels, S), dtype=work)
+            np.zeros((S, op.num_pixels), dtype=work)
             if X0 is None
-            else _slab(X0, op.num_pixels, "initial slab", work).copy()
+            else _slab(X0, op.num_pixels, "initial slab", work).T.copy()
         )
-        R = Y - np.asarray(forward_batch(op, X), dtype=work)
-        G = np.asarray(adjoint_batch(op, R), dtype=work)
+        R = Y.T.copy()
+        R -= _apply_rows(forward_batch, op, X, work)
+        G = _apply_rows(adjoint_batch, op, R, work)
         P = G.copy()
-        gamma = np.empty(S, dtype=np.float64)
-        _column_dots(G, np.arange(S), gamma)
+        gamma = _row_dots(G)
         gamma0 = gamma.copy()
 
         iterations = np.zeros(S, dtype=np.int64)
@@ -200,25 +212,29 @@ def cgls_batch(
             reasons[j] = "zero gradient at start: x0 solves the normal equations"
         active = ~converged
 
-        history = _History(_column_norms(R), _column_norms(X))
+        history = _History(_row_norms(R), _row_norms(X))
 
         for it in range(num_iterations):
             if not active.any():
                 break
             with _batch_iteration("cg", it, int(active.sum()), S):
-                Q = np.asarray(forward_batch(op, P), dtype=work)
-                qq = np.zeros(S, dtype=np.float64)
                 act = np.flatnonzero(active)
-                _column_dots(Q, act, qq)
+                full = act.shape[0] == S
+                Pa = P if full else P[act]
+                Q = _apply_rows(forward_batch, op, Pa, work)
+                qq = _row_dots(Q)
                 # A search direction in null(A) can only follow from a
                 # zero gradient in exact arithmetic; freeze the column
                 # against the float edge case regardless.
-                null = active & (qq == 0.0)
-                for j in np.flatnonzero(null):
-                    converged[j] = True
-                    reasons[j] = "search direction in null space"
-                active &= ~null
-                act = np.flatnonzero(active)
+                null = qq == 0.0
+                if null.any():
+                    for j in act[null]:
+                        converged[j] = True
+                        reasons[j] = "search direction in null space"
+                    active[act[null]] = False
+                    keep = ~null
+                    act, Pa, Q, qq = act[keep], Pa[keep], Q[keep], qq[keep]
+                    full = False
                 if act.shape[0] == 0:
                     break
 
@@ -226,24 +242,32 @@ def cgls_batch(
                 # single-slice solver's python-float arithmetic) and then
                 # cast to the work dtype, so the slab updates below use
                 # exactly the scalars the per-column solver would.
-                alpha = (gamma[act] / qq[act]).astype(work)
-                X[:, act] += alpha * P[:, act]
-                R[:, act] -= alpha * Q[:, act]
-                Gact = np.asarray(
-                    adjoint_batch(op, np.ascontiguousarray(R[:, act])),
-                    dtype=work,
-                )
-                gamma_new = np.empty(act.shape[0], dtype=np.float64)
-                _column_dots(Gact, np.arange(act.shape[0]), gamma_new)
-                beta = (gamma_new / gamma[act]).astype(work)
-                P[:, act] = Gact + beta * P[:, act]
+                alpha = (gamma[act] / qq).astype(work)[:, None]
+                Q *= alpha
+                if full:
+                    X += alpha * P
+                    R -= Q
+                    Ra = R
+                else:
+                    X[act] += alpha * Pa
+                    R[act] -= Q
+                    Ra = R[act]
+                Gact = _apply_rows(adjoint_batch, op, Ra, work)
+                gamma_new = _row_dots(Gact)
+                beta = (gamma_new / gamma[act]).astype(work)[:, None]
+                # p = s + beta * p, with IEEE addition commuting exactly.
+                if full:
+                    P *= beta
+                    P += Gact
+                else:
+                    P[act] = Gact + beta * Pa
                 gamma[act] = gamma_new
 
                 iterations[act] = it + 1
-                history.record(active, _column_norms(R), _column_norms(X))
+                history.record(active, _row_norms(R), _row_norms(X))
 
             if callback is not None:
-                callback(it + 1, X, active.copy())
+                callback(it + 1, X.T, active.copy())
 
             if tolerance > 0.0:
                 done = active & (gamma <= (tolerance**2) * gamma0)
@@ -263,7 +287,7 @@ def cgls_batch(
         if not reasons[j]:
             reasons[j] = "iteration budget exhausted"
     return BatchSolveResult(
-        X=X,
+        X=X.T,
         iterations=iterations,
         residual_norms=res_hist,
         solution_norms=sol_hist,

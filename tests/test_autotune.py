@@ -126,6 +126,32 @@ class TestSearch:
         outcome = Autotuner(workers_options=(1,), top_k=2, trial_repeats=1).tune(A, AT)
         assert all(t.measured_seconds > 0 for t in outcome.trials)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ell_trial_times_the_production_kernel(self, monkeypatch, workers):
+        """An ELL trial runs the vendor kernel the operator runs, never
+        the reference slab loop, serial and threaded alike."""
+        from repro.sparse import ELLPartitioned
+
+        calls = []
+        vendor = ELLPartitioned.spmv_vendor
+
+        def counting(self, x, batched=False):
+            calls.append(self.num_rows)
+            return vendor(self, x, batched)
+
+        def reference(self, x):
+            raise AssertionError("trial ran the reference slab kernel")
+
+        monkeypatch.setattr(ELLPartitioned, "spmv_vendor", counting)
+        monkeypatch.setattr(ELLPartitioned, "spmv", reference)
+        A, AT = _problem(rows=48, cols=40)
+        tuner = Autotuner(trial_repeats=2)
+        seconds = tuner._time_candidate(A, AT, Candidate("ell", 16, 0, workers))
+        assert seconds > 0
+        # Every trial applies forward and adjoint, on one slice per worker.
+        assert sum(calls) == 2 * (A.num_rows + AT.num_rows)
+        assert len(calls) == 2 * 2 * workers
+
 
 class TestPersistence:
     def test_warm_hit_reuses_record_and_plan(self, tmp_path):

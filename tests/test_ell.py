@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.sparse import CSRMatrix, build_ell
+from repro.core import OperatorConfig, preprocess
+from repro.geometry import ParallelBeamGeometry
+from repro.sparse import CSRMatrix, build_ell, scan_transpose
+from repro.trace import build_projection_matrix
 
 
 def _random_sparse(rows, cols, density, seed):
@@ -63,3 +66,116 @@ class TestELL:
         E = build_ell(small_matrix, 16)
         x = np.random.default_rng(7).random(small_matrix.num_cols).astype(np.float32)
         np.testing.assert_allclose(E.spmv(x), small_matrix.spmv(x), rtol=1e-4, atol=1e-4)
+
+
+def _traced(value_dtype: str) -> tuple[CSRMatrix, CSRMatrix]:
+    """A traced, row-sorted matrix and its transpose, as the operator has them."""
+    raw = build_projection_matrix(ParallelBeamGeometry(24, 20))
+    A = CSRMatrix.from_scipy(raw, dtype=value_dtype).sort_rows_by_index()
+    return A, scan_transpose(A)
+
+
+#: (matrix value dtype, input dtype) for the operator's three precisions:
+#: mixed and fp32 (dtype None / "float32") run fp32 kernels on an fp32
+#: matrix, fp64 runs fp64 on fp64; an fp64 input on an fp32 matrix
+#: upcasts in both kernels alike.
+PRECISIONS = [
+    ("float32", np.float32),
+    ("float32", np.float64),
+    ("float64", np.float64),
+]
+
+
+class TestVendorKernelBitIdentity:
+    """The production ELL kernels (scipy csr/csc matvec(s)) equal the
+    reference slab loops bit for bit.  This pins scipy's summation
+    order: a scipy whose order differs fails here, not in a solve."""
+
+    def _layouts(self, value_dtype):
+        A, AT = _traced(value_dtype)
+        return [
+            build_ell(A, 16, AT),   # batched runs by columns
+            build_ell(AT, 16, A),
+            build_ell(A, 16),       # batched runs by rows
+            build_ell(AT, 16),
+        ]
+
+    @staticmethod
+    def _blocks(layout):
+        n = layout.partitions.num_partitions
+        yield layout
+        for split in (1, n // 2, n - 1):
+            yield layout.partition_slice(0, split)
+            yield layout.partition_slice(split, n)
+
+    @pytest.mark.parametrize("value_dtype,input_dtype", PRECISIONS)
+    def test_single_and_batched(self, value_dtype, input_dtype):
+        rng = np.random.default_rng(3)
+        for layout in self._layouts(value_dtype):
+            x = rng.standard_normal(layout.num_cols).astype(input_dtype)
+            X = rng.standard_normal((layout.num_cols, 5)).astype(input_dtype)
+            for block in self._blocks(layout):
+                ref, got = block.spmv(x), block.spmv_vendor(x)
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+                ref_b, got_b = block.spmv_batch(X), block.spmv_vendor(X, batched=True)
+                assert got_b.dtype == ref_b.dtype
+                assert np.array_equal(got_b, ref_b)
+
+    def test_column_path_taken_only_for_sorted_rows(self):
+        A, AT = _traced("float32")
+        assert build_ell(A, 16, AT)._scipy_batch.format == "csc"
+        assert build_ell(A, 16)._scipy_batch.format == "csr"
+        assert build_ell(A, 16, AT).partition_slice(0, 2).columns is None
+        # Swap two entries of one row: scattering by columns would now
+        # add them in another order, so the batched kernel keeps rows.
+        ind, val = A.ind.copy(), A.val.copy()
+        lo = int(A.displ[np.flatnonzero(A.row_nnz() >= 2)[0]])
+        ind[[lo, lo + 1]], val[[lo, lo + 1]] = ind[[lo + 1, lo]], val[[lo + 1, lo]]
+        shuffled = CSRMatrix(A.displ, ind, val, A.num_cols)
+        E = build_ell(shuffled, 16, AT)
+        assert E._scipy_batch.format == "csr"
+        X = np.random.default_rng(4).random((A.num_cols, 3)).astype(np.float32)
+        assert np.array_equal(E.spmv_vendor(X, batched=True), E.spmv_batch(X))
+
+    def test_columns_must_transpose_rows(self):
+        A, AT = _traced("float32")
+        with pytest.raises(ValueError):
+            build_ell(A, 16, A)
+
+    def test_fp32_input_on_fp64_layout_rejected(self):
+        """scipy would accumulate in float64 where the slab kernel
+        accumulates in float32: refuse rather than drift."""
+        A, AT = _traced("float64")
+        E = build_ell(A, 16, AT)
+        with pytest.raises(TypeError):
+            E.spmv_vendor(np.ones(A.num_cols, dtype=np.float32))
+        with pytest.raises(TypeError):
+            E.spmv_vendor(np.ones((A.num_cols, 2), dtype=np.float32), batched=True)
+
+    @pytest.mark.parametrize("dtype", [None, "float32", "float64"])
+    def test_operator_precisions(self, dtype):
+        """Through the operator's own cast, every precision runs the
+        vendor kernel and lands on the reference bits and dtype."""
+        op, _ = preprocess(
+            ParallelBeamGeometry(24, 20),
+            config=OperatorConfig(kernel="ell", partition_size=16, dtype=dtype),
+            cache="off",
+        )
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(op.num_pixels)
+        X = rng.standard_normal((op.num_pixels, 4))
+        y = rng.standard_normal(op.num_rays)
+        cast = op.compute_dtype
+        for got, ref in (
+            (op.forward(x), op.ell_forward.spmv(x.astype(cast))),
+            (op.adjoint(y), op.ell_adjoint.spmv(y.astype(cast))),
+            (op.forward_batch(X), op.ell_forward.spmv_batch(X.astype(cast))),
+        ):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_batched_rejects_a_vector(self):
+        A, AT = _traced("float32")
+        with pytest.raises(ValueError):
+            build_ell(A, 16, AT).spmv_vendor(np.ones(A.num_cols, np.float32), batched=True)

@@ -175,6 +175,54 @@ class TestSharedMemory:
             shared.dispose()
 
 
+class TestNonFiniteLayoutParity:
+    """A non-finite input entry poisons exactly the rows that touch it,
+    in every layout, worker mode and batch shape.  (ELL's padded slots
+    once multiplied ``x[0]`` into nearly every row.)"""
+
+    @pytest.fixture(scope="class")
+    def square(self) -> dict[str, MemXCTOperator]:
+        geometry = ParallelBeamGeometry(32, 32)
+        return {
+            kernel: preprocess(
+                geometry,
+                config=OperatorConfig(kernel=kernel, partition_size=16, buffer_bytes=2048),
+                cache="off",
+            )[0]
+            for kernel in KERNELS
+        }
+
+    @staticmethod
+    def _bad_rows(op, direction: str) -> list[np.ndarray]:
+        """Non-finite output rows: single, then each batched column."""
+        n = op.num_pixels if direction == "forward" else op.num_rays
+        x = np.random.default_rng(2).random(n).astype(np.float32)
+        x[0] = np.inf
+        X = np.random.default_rng(3).random((n, 3)).astype(np.float32)
+        X[0, 1] = np.inf
+        single = getattr(op, direction)(x)
+        batched = getattr(op, f"{direction}_batch")(X)
+        return [np.flatnonzero(~np.isfinite(single))] + [
+            np.flatnonzero(~np.isfinite(batched[:, j])) for j in range(3)
+        ]
+
+    @pytest.mark.parametrize("direction", ["forward", "adjoint"])
+    def test_same_rows_everywhere(self, square, direction):
+        expected = self._bad_rows(square["csr"], direction)
+        assert 0 < expected[0].size < square["csr"].num_rays // 10
+        assert np.array_equal(expected[2], expected[0])
+        assert expected[1].size == 0 and expected[3].size == 0
+        for kernel, op in square.items():
+            for spec in (None, "thread:2", "process:2"):
+                op.set_workers(spec)
+                try:
+                    got = self._bad_rows(op, direction)
+                finally:
+                    op.set_workers(None)
+                for rows, ref in zip(got, expected):
+                    assert np.array_equal(rows, ref), (kernel, spec)
+
+
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("spec", WORKER_SPECS)
