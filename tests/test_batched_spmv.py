@@ -168,3 +168,110 @@ class TestMatrixOperatorBatch:
         Xb = op.adjoint_batch(B)
         for j in range(3):
             assert np.array_equal(Xb[:, j], op.adjoint(B[:, j]))
+
+
+def _slab_layouts(rng, n, S, dtype):
+    """The same ``(n, S)`` values as C-order, F-order and strided slabs."""
+    X = rng.standard_normal((n, S)).astype(dtype)
+    strided = np.zeros((2 * n, 3 * S), dtype=dtype)[::2, 1::3]
+    strided[...] = X
+    return {"C": X, "F": np.asfortranarray(X), "strided": strided}
+
+
+#: (layout value dtype, input dtype): fp32 and fp64 layouts x fp32 and
+#: fp64 inputs.
+BUFFERED_PRECISIONS = [
+    ("float32", np.float32),
+    ("float32", np.float64),
+    ("float64", np.float32),
+    ("float64", np.float64),
+]
+
+
+class TestBufferedBatchBitIdentity:
+    """Column ``j`` of the buffered ``spmv_batch`` equals the production
+    single-vector kernel and the literal Listing-3 kernel bit for bit,
+    with the same dtype, for any slab memory layout and batch width."""
+
+    @staticmethod
+    def _layouts(matrix, value_dtype):
+        A = matrix.sort_rows_by_index().astype(value_dtype)
+        AT = scan_transpose(A)
+        layouts = {
+            "one-stage": build_buffered(A, 16),
+            "multi-stage": build_buffered(A, 16, buffer_bytes=64),
+            "adjoint multi-stage": build_buffered(AT, 16, buffer_bytes=64),
+        }
+        assert (layouts["one-stage"].stages_per_partition() == 1).all()
+        for key in ("multi-stage", "adjoint multi-stage"):
+            assert (layouts[key].stages_per_partition() >= 2).all()
+        return layouts
+
+    @staticmethod
+    def _blocks(layout):
+        n = layout.partitions.num_partitions
+        yield layout
+        for split in (1, n // 2):
+            yield layout.partition_slice(0, split)
+            yield layout.partition_slice(split, n)
+
+    @pytest.mark.parametrize("value_dtype,input_dtype", BUFFERED_PRECISIONS)
+    @pytest.mark.parametrize("S", [1, 2, 8])
+    def test_columns_match_single_vector_kernels(
+        self, small_matrix, value_dtype, input_dtype, S
+    ):
+        rng = np.random.default_rng(S)
+        for name, layout in self._layouts(small_matrix, value_dtype).items():
+            slabs = _slab_layouts(rng, layout.num_cols, S, input_dtype)
+            for block in self._blocks(layout):
+                refs = [block.spmv_vectorized(slabs["C"][:, j]) for j in range(S)]
+                for j, ref in enumerate(refs):
+                    assert np.array_equal(block.spmv(slabs["C"][:, j]), ref), name
+                for order, X in slabs.items():
+                    Y = block.spmv_batch(X)
+                    assert Y.shape == (block.num_rows, S), (name, order)
+                    for j, ref in enumerate(refs):
+                        assert Y.dtype == ref.dtype, (name, order)
+                        assert np.array_equal(Y[:, j], ref), (name, order, j)
+
+    def test_empty_batch(self, small_matrix):
+        layout = self._layouts(small_matrix, "float32")["multi-stage"]
+        Y = layout.spmv_batch(np.zeros((layout.num_cols, 0), dtype=np.float32))
+        assert Y.shape == (layout.num_rows, 0)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_engines_match_single_vector(self, dtype):
+        """Serial, thread and process engines: every batched column is
+        the serial single-vector result, forward and adjoint, on a
+        multi-stage layout."""
+        from repro.geometry import ParallelBeamGeometry
+
+        op, _ = preprocess(
+            ParallelBeamGeometry(24, 20),
+            config=OperatorConfig(
+                kernel="buffered",
+                partition_size=16,
+                buffer_bytes=64,
+                workers=1,
+                dtype=dtype,
+            ),
+            cache="off",
+        )
+        assert (op.buffered_forward.stages_per_partition() >= 2).all()
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((op.num_pixels, 8)).astype(dtype)
+        B = rng.standard_normal((op.num_rays, 8)).astype(dtype)
+        fwd = [op.forward(X[:, j]) for j in range(8)]
+        adj = [op.adjoint(B[:, j]) for j in range(8)]
+        for spec in (1, "thread:2", "process:2"):
+            op.set_workers(spec)
+            try:
+                for S in (1, 2, 8):
+                    Y = op.forward_batch(X[:, :S])
+                    Xb = op.adjoint_batch(B[:, :S])
+                    for j in range(S):
+                        assert Y.dtype == fwd[j].dtype and Xb.dtype == adj[j].dtype
+                        assert np.array_equal(Y[:, j], fwd[j]), (spec, S, j)
+                        assert np.array_equal(Xb[:, j], adj[j]), (spec, S, j)
+            finally:
+                op.close()

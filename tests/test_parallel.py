@@ -448,12 +448,16 @@ class TestBufferedPlanPersistence:
 
     def test_warm_operator_cache_roundtrip(self, tmp_path):
         """Regression: a warmed operator persists and reloads cleanly,
-        and the loaded copy rebuilds its plan lazily."""
+        and the loaded copy rebuilds its plan lazily.
+
+        Serial on purpose (``workers=1``, whatever ``REPRO_WORKERS``
+        says): an engine's partition slices warm their own plans, so
+        the parent layout this test persists would stay cold."""
         geometry = ParallelBeamGeometry(24, 24)
         cache = PlanCache(tmp_path / "plans")
         op, _ = preprocess(
             geometry,
-            config=OperatorConfig(partition_size=16, buffer_bytes=1024),
+            config=OperatorConfig(partition_size=16, buffer_bytes=1024, workers=1),
             cache=cache,
         )
         x = np.ones(op.num_pixels, dtype=np.float32)
